@@ -74,9 +74,9 @@ std::vector<CheckSpec> perf_dimension_checks(double tolerance_pct) {
 std::vector<CheckSpec> perf_large_model_checks(double tolerance_pct) {
   // Same philosophy as perf_dimension_checks: speedup ratios drift
   // within tolerance, the allocation / solution-identity / pass gates
-  // are exact.  The 10k ratio is the acceptance headline (>= 3x is the
-  // benchmark's own hard gate; the baseline check additionally pins
-  // the measured margin).
+  // are exact.  The 10k ratio over the live legacy sweep is the
+  // acceptance headline (>= 2x per sweep is the benchmark's own hard
+  // gate; the baseline check additionally pins the measured margin).
   return {
       {"large_speedup_10k", Direction::kHigherIsBetter, tolerance_pct, 0.0},
       {"large_speedup_1k", Direction::kHigherIsBetter, tolerance_pct, 0.0},

@@ -1,24 +1,23 @@
-// Acceptance benchmark for the continental-scale SoA sweep kernels:
+// Acceptance benchmark for the continental-scale heuristic-MVA kernel:
 // solve generated large-cyclic fixtures (1k and 10k chains, seed 1)
 // with
 //
-//   (a) pre-PR scalar path — a faithful reconstruction of the
-//       O(N*R^2) heuristic sweep before the busy[]/total[] hoists
-//       (every chain re-sums the other chains' utilization and queue
-//       lengths at every station), kept here because the engine no
-//       longer has that path;
-//   (b) SoA kernel        — the registry's heuristic-mva over the
-//       station-major CompiledModel slab with the O(N*R) hoisted
-//       sweeps and a warm Workspace arena.
+//   (a) legacy dense sweep — the live mva::solve_approx_mva on the
+//       source NetworkModel: std::vector storage over the full
+//       station x chain slab, the equivalence suite's reference;
+//   (b) packed kernel      — the registry's heuristic-mva over the
+//       CompiledModel's packed visit slots (only the visited
+//       (chain, station) cells) with a warm Workspace arena.
 //
 // Both run the SAME fixed number of sweeps (tolerance 0), so the
 // comparison is per-sweep work, not convergence luck.
 //
 // Gates (exit 1 on violation):
-//   - the 10k-chain kernel is at least 3x faster than the scalar path;
-//   - both paths agree on the solved window statistics (max relative
-//     throughput difference < 1e-6 — the hoists reassociate the
-//     other-chain sums, so agreement is near-exact, not bitwise);
+//   - the 10k-chain packed kernel is at least 2x faster per sweep than
+//     the legacy dense sweep;
+//   - both paths agree bit for bit on throughput, queue lengths, times
+//     and sigma (large_max_rel_diff == 0: the packed walk skips only
+//     exact +0.0 terms and reassociates no sum);
 //   - the timed kernel reps perform ZERO workspace arena allocations.
 //
 // --json=PATH writes the measurements; --check compares them against
@@ -32,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,158 +49,21 @@ namespace {
 
 using windim::qn::CompiledModel;
 
-// --- pre-PR scalar path ---------------------------------------------------
-//
-// The heuristic sweep exactly as it ran before the station-major hoists
-// (see git history of solver/heuristic_mva.cc): STEP 2 re-sums
-// rho_other over all other chains per (chain, station) and STEP 3
-// re-sums the total queue per (chain, station), making every sweep
-// O(N*R^2).  Cold std::vector storage, Chan sigma policy, no warm
-// start — the configuration the speedup claim is measured against.
-std::vector<double> scalar_solve(const CompiledModel& model,
-                                 const std::vector<int>& population,
-                                 const windim::mva::ApproxMvaOptions& options) {
-  const int num_stations = model.num_stations();
-  const int num_chains = model.num_chains();
-  const std::size_t cells =
-      static_cast<std::size_t>(num_stations) * num_chains;
-  std::vector<double> number(cells, 0.0);
-  std::vector<double> time(cells, 0.0);
-  std::vector<double> lambda(static_cast<std::size_t>(num_chains), 0.0);
-  std::vector<double> sigma(cells, 0.0);
-  std::vector<double> lambda_prev(static_cast<std::size_t>(num_chains));
-  std::vector<double> sub_demand(static_cast<std::size_t>(num_stations));
-  std::vector<int> sub_station(static_cast<std::size_t>(num_stations));
-  std::vector<int> sub_delay(static_cast<std::size_t>(num_stations));
-  std::vector<double> sc_number_prev(static_cast<std::size_t>(num_stations));
-  std::vector<double> sc_number_cur(static_cast<std::size_t>(num_stations));
-  std::vector<double> sc_time(static_cast<std::size_t>(num_stations));
-
-  // STEP 1: balanced initialization.
-  for (int r = 0; r < num_chains; ++r) {
-    const int pop = population[static_cast<std::size_t>(r)];
-    const std::span<const int> stations = model.stations_of(r);
-    if (pop == 0 || stations.empty()) continue;
-    double cycle = 0.0;
-    for (int n : stations) cycle += model.demand(r, n);
-    const double share =
-        static_cast<double>(pop) / static_cast<double>(stations.size());
-    for (int n : stations) {
-      number[static_cast<std::size_t>(n) * num_chains + r] = share;
-    }
-    lambda[static_cast<std::size_t>(r)] = pop / cycle;
+/// Largest relative difference between two equally long outputs, and
+/// whether they are bitwise equal (NaN-safe: a NaN never compares
+/// equal, so it can never pass as identical).
+void compare_output(std::span<const double> got,
+                    const std::vector<double>& want, double& max_rel_diff,
+                    bool& identical) {
+  if (got.size() != want.size()) {
+    identical = false;
+    return;
   }
-  std::copy(lambda.begin(), lambda.end(), lambda_prev.begin());
-
-  for (int iteration = 1; iteration <= options.max_iterations; ++iteration) {
-    // STEP 2: sigma via the isolated single-chain subproblem, with the
-    // O(R) other-chain utilization re-sum per visited station.
-    for (int r = 0; r < num_chains; ++r) {
-      const int pop = population[static_cast<std::size_t>(r)];
-      if (pop == 0) continue;
-      std::size_t sub_size = 0;
-      for (int n = 0; n < num_stations; ++n) {
-        const double d = model.demand(r, n);
-        if (d <= 0.0) continue;
-        double rho_other = 0.0;
-        for (int j = 0; j < num_chains; ++j) {
-          if (j == r) continue;
-          rho_other +=
-              lambda[static_cast<std::size_t>(j)] * model.demand(j, n);
-        }
-        rho_other = std::clamp(rho_other, 0.0, options.utilization_clamp);
-        const bool delay = model.is_delay(n);
-        sub_demand[sub_size] = delay ? d : d / (1.0 - rho_other);
-        sub_delay[sub_size] = delay ? 1 : 0;
-        sub_station[sub_size] = n;
-        ++sub_size;
-      }
-      for (std::size_t k = 0; k < sub_size; ++k) sc_number_prev[k] = 0.0;
-      for (int k = 1; k <= pop; ++k) {
-        double cycle_time = 0.0;
-        for (std::size_t i = 0; i < sub_size; ++i) {
-          sc_time[i] = sub_delay[i] != 0
-                           ? sub_demand[i]
-                           : sub_demand[i] * (1.0 + sc_number_prev[i]);
-          cycle_time += sc_time[i];
-        }
-        const double sc_lambda = k / cycle_time;
-        for (std::size_t i = 0; i < sub_size; ++i) {
-          sc_number_cur[i] = sc_lambda * sc_time[i];
-        }
-        if (k < pop) {
-          std::swap_ranges(sc_number_prev.begin(),
-                           sc_number_prev.begin() + sub_size,
-                           sc_number_cur.begin());
-        }
-      }
-      for (std::size_t i = 0; i < sub_size; ++i) {
-        const double increment = sc_number_cur[i] - sc_number_prev[i];
-        sigma[static_cast<std::size_t>(sub_station[i]) * num_chains + r] =
-            std::clamp(increment, 0.0, 1.0);
-      }
-    }
-
-    // STEP 3: queueing times, with the O(R) total-queue re-sum.
-    for (int r = 0; r < num_chains; ++r) {
-      if (population[static_cast<std::size_t>(r)] == 0) continue;
-      for (int n = 0; n < num_stations; ++n) {
-        const double d = model.demand(r, n);
-        if (d <= 0.0) {
-          time[static_cast<std::size_t>(n) * num_chains + r] = 0.0;
-          continue;
-        }
-        if (model.is_delay(n)) {
-          time[static_cast<std::size_t>(n) * num_chains + r] = d;
-          continue;
-        }
-        double others = 0.0;
-        for (int j = 0; j < num_chains; ++j) {
-          others += number[static_cast<std::size_t>(n) * num_chains + j];
-        }
-        const double seen = std::max(
-            0.0,
-            others - sigma[static_cast<std::size_t>(n) * num_chains + r]);
-        time[static_cast<std::size_t>(n) * num_chains + r] = d * (1.0 + seen);
-      }
-    }
-
-    // STEP 4: chain throughputs.
-    for (int r = 0; r < num_chains; ++r) {
-      const int pop = population[static_cast<std::size_t>(r)];
-      if (pop == 0) {
-        lambda[static_cast<std::size_t>(r)] = 0.0;
-        continue;
-      }
-      double cycle = 0.0;
-      for (int n = 0; n < num_stations; ++n) {
-        cycle += time[static_cast<std::size_t>(n) * num_chains + r];
-      }
-      lambda[static_cast<std::size_t>(r)] = pop / cycle;
-    }
-
-    // STEP 5: queue lengths.
-    for (int r = 0; r < num_chains; ++r) {
-      for (int n = 0; n < num_stations; ++n) {
-        const std::size_t idx = static_cast<std::size_t>(n) * num_chains + r;
-        const double updated = lambda[static_cast<std::size_t>(r)] * time[idx];
-        number[idx] =
-            options.damping * updated + (1.0 - options.damping) * number[idx];
-      }
-    }
-
-    // STEP 6: CRIT (irrelevant at tolerance 0 — fixed sweep count).
-    double crit = 0.0;
-    double scale = 1.0;
-    for (int r = 0; r < num_chains; ++r) {
-      crit = std::max(crit, std::abs(lambda[static_cast<std::size_t>(r)] -
-                                     lambda_prev[static_cast<std::size_t>(r)]));
-      scale = std::max(scale, std::abs(lambda[static_cast<std::size_t>(r)]));
-    }
-    std::copy(lambda.begin(), lambda.end(), lambda_prev.begin());
-    if (crit / scale < options.tolerance) break;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (got[i] != want[i]) identical = false;
+    const double denom = std::max(1e-300, std::abs(want[i]));
+    max_rel_diff = std::max(max_rel_diff, std::abs(got[i] - want[i]) / denom);
   }
-  return lambda;
 }
 
 template <typename Run>
@@ -220,10 +83,11 @@ double median_ms(int reps, const Run& run) {
 
 struct SizeResult {
   int chains = 0;
-  double scalar_ms = 0.0;
+  double legacy_ms = 0.0;
   double kernel_ms = 0.0;
   double speedup = 0.0;
   double max_rel_diff = 0.0;
+  bool identical = true;
   std::uint64_t warm_allocations = 0;
 };
 
@@ -251,15 +115,13 @@ SizeResult run_size(int chains, int sweeps, int reps) {
   ws.hints.mva = &options;
 
   // Warm-up: grow the arena to this model's high-water mark.
-  std::vector<double> kernel_lambda;
-  {
-    const windim::solver::Solution sol = kernel.solve(compiled, population, ws);
-    kernel_lambda.assign(sol.chain_throughput.begin(),
-                         sol.chain_throughput.end());
-  }
+  (void)kernel.solve(compiled, population, ws);
 
   SizeResult out;
   out.chains = chains;
+  // The last timed rep's solution stays valid in `ws` until its next
+  // solve; the legacy solve below does not touch the workspace.
+  windim::solver::Solution sol;
   const std::uint64_t allocs_before =
       windim::solver::Workspace::total_heap_allocations();
   {
@@ -267,31 +129,31 @@ SizeResult run_size(int chains, int sweeps, int reps) {
                                      "bench.kernel_solve", "bench");
     s.arg("chains", chains);
     out.kernel_ms = median_ms(
-        reps, [&] { (void)kernel.solve(compiled, population, ws); });
+        reps, [&] { sol = kernel.solve(compiled, population, ws); });
     s.arg("median_ms", out.kernel_ms);
   }
   out.warm_allocations =
       windim::solver::Workspace::total_heap_allocations() - allocs_before;
 
-  std::vector<double> scalar_lambda;
+  windim::mva::MvaSolution legacy;
   {
     windim::obs::SpanTracer::Scope s(&windim::obs::SpanTracer::global(),
-                                     "bench.scalar_solve", "bench");
+                                     "bench.legacy_solve", "bench");
     s.arg("chains", chains);
-    // The scalar path is O(N*R^2) per sweep — a single rep is minutes
-    // of arithmetic at 10k chains; its median over noise is not the
-    // bottleneck of the comparison.
-    out.scalar_ms = median_ms(
-        1, [&] { scalar_lambda = scalar_solve(compiled, population, options); });
-    s.arg("median_ms", out.scalar_ms);
+    out.legacy_ms = median_ms(reps, [&] {
+      legacy = windim::mva::solve_approx_mva(inst.model, options);
+    });
+    s.arg("median_ms", out.legacy_ms);
   }
-  out.speedup = out.scalar_ms / out.kernel_ms;
+  out.speedup = out.legacy_ms / out.kernel_ms;
 
-  for (std::size_t r = 0; r < scalar_lambda.size(); ++r) {
-    const double denom = std::max(1e-300, std::abs(scalar_lambda[r]));
-    out.max_rel_diff = std::max(
-        out.max_rel_diff, std::abs(kernel_lambda[r] - scalar_lambda[r]) / denom);
-  }
+  compare_output(sol.chain_throughput, legacy.chain_throughput,
+                 out.max_rel_diff, out.identical);
+  compare_output(sol.mean_queue, legacy.mean_queue, out.max_rel_diff,
+                 out.identical);
+  compare_output(sol.mean_time, legacy.mean_time, out.max_rel_diff,
+                 out.identical);
+  compare_output(sol.sigma, legacy.sigma, out.max_rel_diff, out.identical);
   return out;
 }
 
@@ -355,23 +217,26 @@ int main(int argc, char** argv) {
               sweeps);
   for (const SizeResult& r : {r1k, r10k}) {
     std::printf(
-        "%6d chains: scalar %10.3f ms   kernel %8.3f ms   "
-        "speedup %7.1fx   max rel diff %.2e\n",
-        r.chains, r.scalar_ms, r.kernel_ms, r.speedup, r.max_rel_diff);
+        "%6d chains: legacy %9.3f ms   kernel %8.3f ms   "
+        "per sweep %7.3f / %7.3f ms   speedup %5.2fx   max rel diff %.2e\n",
+        r.chains, r.legacy_ms, r.kernel_ms, r.legacy_ms / sweeps,
+        r.kernel_ms / sweeps, r.speedup, r.max_rel_diff);
   }
 
+  const double max_rel_diff = std::max(r1k.max_rel_diff, r10k.max_rel_diff);
   const bool identical_windows =
-      r1k.max_rel_diff < 1e-6 && r10k.max_rel_diff < 1e-6;
+      r1k.identical && r10k.identical && max_rel_diff == 0.0;
   const std::uint64_t warm_allocations =
       r1k.warm_allocations + r10k.warm_allocations;
 
   bool pass = true;
-  if (r10k.speedup < 3.0) {
-    std::printf("FAIL: 10k-chain speedup below 3x\n");
+  if (!(r10k.speedup >= 2.0)) {
+    std::printf("FAIL: 10k-chain per-sweep speedup below 2x\n");
     pass = false;
   }
   if (!identical_windows) {
-    std::printf("FAIL: scalar and kernel paths disagree on the solution\n");
+    std::printf(
+        "FAIL: legacy and packed kernel solutions are not bit-identical\n");
     pass = false;
   }
   if (warm_allocations != 0) {
@@ -389,20 +254,20 @@ int main(int argc, char** argv) {
     w.value(sweeps);
     w.key("large_reps");
     w.value(reps);
-    w.key("large_scalar_1k_ms");
-    w.value(r1k.scalar_ms);
+    w.key("large_legacy_1k_ms");
+    w.value(r1k.legacy_ms);
     w.key("large_kernel_1k_ms");
     w.value(r1k.kernel_ms);
     w.key("large_speedup_1k");
     w.value(r1k.speedup);
-    w.key("large_scalar_10k_ms");
-    w.value(r10k.scalar_ms);
+    w.key("large_legacy_10k_ms");
+    w.value(r10k.legacy_ms);
     w.key("large_kernel_10k_ms");
     w.value(r10k.kernel_ms);
     w.key("large_speedup_10k");
     w.value(r10k.speedup);
     w.key("large_max_rel_diff");
-    w.value(std::max(r1k.max_rel_diff, r10k.max_rel_diff));
+    w.value(max_rel_diff);
     w.key("large_warm_workspace_allocations");
     w.value(warm_allocations);
     w.key("large_identical_windows");

@@ -41,15 +41,12 @@ CompiledModel CompiledModel::compile(const NetworkModel& model,
   c.demand_cm_.assign(cells, 0.0);
   c.service_time_cm_.assign(cells, 0.0);
   c.visit_ratio_cm_.assign(cells, 0.0);
-  c.demand_sm_.assign(cells, 0.0);
   for (int r = 0; r < R; ++r) {
     for (int n = 0; n < N; ++n) {
       const std::size_t idx = static_cast<std::size_t>(r) * N + n;
-      const double d = model.demand(r, n);
-      c.demand_cm_[idx] = d;
+      c.demand_cm_[idx] = model.demand(r, n);
       c.service_time_cm_[idx] = model.service_time(r, n);
       c.visit_ratio_cm_[idx] = model.visit_ratio(r, n);
-      c.demand_sm_[static_cast<std::size_t>(n) * R + r] = d;
     }
   }
 
@@ -87,6 +84,21 @@ CompiledModel CompiledModel::compile(const NetworkModel& model,
     }
     c.station_chain_offset_[static_cast<std::size_t>(n) + 1] =
         c.station_chain_ids_.size();
+  }
+  // Packed visit layout: slot v is entry v of the station -> chains CSR.
+  // The station-major walk reaches each chain's stations in ascending
+  // order, so a per-chain cursor fills its slot map aligned with
+  // stations_of(r).
+  c.visit_demand_.resize(c.station_chain_ids_.size());
+  c.chain_visit_slot_.resize(c.chain_station_ids_.size());
+  std::vector<std::size_t> cursor(c.chain_station_offset_.begin(),
+                                  c.chain_station_offset_.end() - 1);
+  for (int n = 0; n < N; ++n) {
+    for (std::size_t v = c.visit_offset(n); v < c.visit_offset(n + 1); ++v) {
+      const int r = c.station_chain_ids_[v];
+      c.visit_demand_[v] = c.demand(r, n);
+      c.chain_visit_slot_[cursor[static_cast<std::size_t>(r)]++] = v;
+    }
   }
 
   c.cycle_time_.assign(static_cast<std::size_t>(R), 0.0);

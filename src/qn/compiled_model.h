@@ -6,13 +6,17 @@
 // immutable, pre-validated, flat-array compilation of a NetworkModel
 // built once per dimensioning run:
 //
-//   - per-(chain,station) demand / service-time / visit-ratio matrices
-//     in both chain-major and station-major order (no .at() bounds
-//     checks, no hash lookups in solver hot loops);
+//   - dense chain-major per-(chain,station) demand / service-time /
+//     visit-ratio matrices (no .at() bounds checks, no hash lookups in
+//     solver hot loops);
 //   - station type tags (fixed-rate / delay / queue-dependent) and
 //     flattened rate-multiplier tables;
 //   - chain <-> station index maps in CSR form (stations_of(r),
-//     chains_visiting(n));
+//     chains_visiting(n)), plus the packed visit layout over them: one
+//     slot per visited (chain, station) cell, numbered station-major
+//     like chains_visiting(), with each slot's demand and a per-chain
+//     slot map aligned with stations_of().  The MVA sweep kernel runs
+//     on these nnz-sized arrays instead of the mostly-zero N x R slab;
 //   - cached per-chain uncongested cycle time, bottleneck station and
 //     maximum demand (the convolution algorithm's rescaling factor);
 //   - optional semiclosed metadata (per-chain Poisson arrival rates and
@@ -100,20 +104,6 @@ class CompiledModel {
     return visit_ratio_cm_[static_cast<std::size_t>(r) * num_stations_ + n];
   }
 
-  /// Station-major demand slab [n * R + r]: the structure-of-arrays
-  /// view the MVA sweep kernels iterate.  At a fixed station the
-  /// per-chain demands are contiguous, so per-station reductions over
-  /// chains (busy time, total queue length) are unit-stride.
-  [[nodiscard]] std::span<const double> station_major_demands()
-      const noexcept {
-    return demand_sm_;
-  }
-  /// Chain demands at station n (one row of the station-major slab).
-  [[nodiscard]] std::span<const double> station_demands(int n) const {
-    return {demand_sm_.data() + static_cast<std::size_t>(n) * num_chains_,
-            static_cast<std::size_t>(num_chains_)};
-  }
-
   /// Chain r's total demand at delay (IS) stations.  delay_demand(r) /
   /// uncongested_cycle_time(r) is the delay-dominance fraction the
   /// solver registry's shape-based routing dispatches on.
@@ -145,6 +135,32 @@ class CompiledModel {
   [[nodiscard]] std::span<const int> chains_visiting(int n) const {
     return {station_chain_ids_.data() + station_chain_offset_[n],
             station_chain_offset_[n + 1] - station_chain_offset_[n]};
+  }
+
+  // --- packed visit layout ----------------------------------------------
+  // Slot v numbers the visited (chain, station) cells station-major:
+  // station n owns slots [visit_offset(n), visit_offset(n + 1)), one per
+  // entry of chains_visiting(n) in the same order.  Walking the slots in
+  // order therefore keeps chains ascending within a station and, for
+  // any one chain, stations ascending — the two summation orders of the
+  // dense sweep.
+  /// Number of visited cells (the nonzeros of the demand matrix).
+  [[nodiscard]] std::size_t visit_count() const noexcept {
+    return station_chain_ids_.size();
+  }
+  /// First slot of station n; visit_offset(num_stations()) ==
+  /// visit_count().
+  [[nodiscard]] std::size_t visit_offset(int n) const {
+    return station_chain_offset_[static_cast<std::size_t>(n)];
+  }
+  /// Demand of every visited cell, indexed by slot.
+  [[nodiscard]] std::span<const double> visit_demands() const noexcept {
+    return visit_demand_;
+  }
+  /// Slots of chain r's visits, aligned with stations_of(r).
+  [[nodiscard]] std::span<const std::size_t> visit_slots_of(int r) const {
+    return {chain_visit_slot_.data() + chain_station_offset_[r],
+            chain_station_offset_[r + 1] - chain_station_offset_[r]};
   }
 
   // --- cached per-chain aggregates --------------------------------------
@@ -191,7 +207,6 @@ class CompiledModel {
   std::vector<double> demand_cm_;        // [r * N + n]
   std::vector<double> service_time_cm_;  // [r * N + n]
   std::vector<double> visit_ratio_cm_;   // [r * N + n]
-  std::vector<double> demand_sm_;        // [n * R + r] (SoA sweep view)
   std::vector<double> delay_demand_;     // per chain
 
   std::vector<StationKind> station_kind_;
@@ -202,6 +217,8 @@ class CompiledModel {
   std::vector<int> chain_station_ids_;
   std::vector<std::size_t> station_chain_offset_;  // N + 1
   std::vector<int> station_chain_ids_;
+  std::vector<double> visit_demand_;          // per slot
+  std::vector<std::size_t> chain_visit_slot_;  // aligned with chain CSR
 
   std::vector<double> cycle_time_;
   std::vector<int> bottleneck_;

@@ -1,5 +1,6 @@
 #include "sim/calendar.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -9,25 +10,25 @@ void Calendar::schedule(double delay, std::function<void()> action) {
   if (!(delay >= 0.0)) {
     throw std::invalid_argument("Calendar::schedule: negative delay");
   }
-  queue_.push(Event{now_ + delay, next_seq_++, std::move(action)});
+  events_.push_back(Event{now_ + delay, next_seq_++, std::move(action)});
+  std::push_heap(events_.begin(), events_.end(), std::greater<>{});
 }
 
 bool Calendar::step() {
-  if (queue_.empty()) return false;
-  // priority_queue::top is const; move out via const_cast-free copy of the
-  // closure is wasteful, so pop into a local through a non-const ref
-  // obtained before pop.  Simplest safe approach: copy time/seq, move the
-  // function by re-pushing is not possible; accept a copy here (closures
-  // in this codebase are small).
-  Event ev = queue_.top();
-  queue_.pop();
+  if (events_.empty()) return false;
+  // (time, seq) is a total order, so the event popped here does not
+  // depend on the heap's internal layout.  The action may schedule new
+  // events, so it is moved out of the vector before it runs.
+  std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
+  Event ev = std::move(events_.back());
+  events_.pop_back();
   now_ = ev.time;
   ev.action();
   return true;
 }
 
 void Calendar::run_until(double t_end) {
-  while (!queue_.empty() && queue_.top().time <= t_end) {
+  while (!events_.empty() && events_.front().time <= t_end) {
     step();
   }
   if (now_ < t_end) now_ = t_end;

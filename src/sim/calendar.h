@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace windim::sim {
@@ -25,7 +24,7 @@ class Calendar {
   /// Executes the single earliest event; returns false if none.
   bool step();
 
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return events_.size(); }
 
  private:
   struct Event {
@@ -39,7 +38,10 @@ class Calendar {
   };
   double now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
+  // Min-heap on (time, seq) under std::greater<>, kept in a plain vector
+  // (std::push_heap/std::pop_heap) so step() can move the earliest
+  // event's closure out instead of copying it.
+  std::vector<Event> events_;
 };
 
 }  // namespace windim::sim

@@ -35,12 +35,20 @@ constexpr int kMinChainsPerBlock = 64;
 //              models, where the term-free legacy sum is kept verbatim)
 //   total[n] = sum_j N_jn              (STEP 3's "others", which never
 //              depended on r to begin with)
-// — dropping a sweep from O(N R^2) to O(N R), and STEPs 3-5 iterate the
-// station-major SoA demand slab so the chain-inner loops are
-// unit-stride.  STEP 2's per-chain subproblems are independent given
-// the hoisted busy[], which is what the optional chain-block pool
-// dispatch (SolveHints::pool) exploits; block partitioning never
-// changes any per-chain arithmetic, so serial replay is deterministic.
+// — and every sweep touches only the visited (chain, station) cells:
+// number/time/sigma live in nnz-sized arrays indexed by the compiled
+// model's packed visit slots (qn::CompiledModel::visit_offset), walked
+// station by station.  The cells the sweep skips are exactly the ones
+// whose every term is +0.0 in the legacy dense sweep, every accumulator
+// starts at +0.0, and the slot walk keeps chains ascending within a
+// station and stations ascending within a chain, so no sum is
+// reassociated: the dense legacy results come out bit for bit.  The
+// dense warm start is gathered into the slots on entry and the slots
+// are scattered into the dense Solution spans once on exit.  STEP 2's
+// per-chain subproblems are independent given the hoisted busy[], which
+// is what the optional chain-block pool dispatch (SolveHints::pool)
+// exploits; block partitioning never changes any per-chain arithmetic,
+// so serial replay is deterministic.
 Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
                                    const PopulationVector& population,
                                    Workspace& ws) const {
@@ -84,11 +92,12 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
 
   ws.reset();
   const std::size_t cells = model.cell_count();
-  // N[n * R + r], t[n * R + r] — station-major, like the legacy solver.
-  std::span<double> number = ws.zeroed_doubles(cells);
-  std::span<double> time = ws.zeroed_doubles(cells);
+  const std::size_t visits = model.visit_count();
+  // N, t and sigma per visited cell, indexed by packed visit slot.
+  std::span<double> number = ws.zeroed_doubles(visits);
+  std::span<double> time = ws.zeroed_doubles(visits);
   std::span<double> lambda = ws.zeroed_doubles(num_chains);
-  std::span<double> sigma = ws.zeroed_doubles(cells);
+  std::span<double> sigma = ws.zeroed_doubles(visits);
   std::span<double> lambda_prev = ws.doubles(num_chains);
   std::span<double> lambda_sigma = ws.doubles(num_chains);
   // Hoisted per-sweep station reductions and chain cycle accumulators.
@@ -100,13 +109,13 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
   const std::size_t scratch_cells =
       num_blocks * static_cast<std::size_t>(num_stations);
   std::span<double> sub_demand = ws.doubles(scratch_cells);
-  std::span<int> sub_station = ws.ints(scratch_cells);
+  std::span<int> sub_visit = ws.ints(scratch_cells);
   std::span<int> sub_delay = ws.ints(scratch_cells);
   std::span<double> sc_number_prev = ws.doubles(scratch_cells);
   std::span<double> sc_number_cur = ws.doubles(scratch_cells);
   std::span<double> sc_time = ws.doubles(scratch_cells);
 
-  const std::span<const double> dsm = model.station_major_demands();
+  const std::span<const double> demand = model.visit_demands();
 
   if (warm_start != nullptr &&
       (warm_start->lambda.size() != static_cast<std::size_t>(num_chains) ||
@@ -123,18 +132,20 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
   for (int r = 0; r < num_chains; ++r) {
     const int pop = population[static_cast<std::size_t>(r)];
     const std::span<const int> stations = model.stations_of(r);
+    const std::span<const std::size_t> slots = model.visit_slots_of(r);
     if (pop == 0 || stations.empty()) continue;
     double cycle = 0.0;
-    for (int n : stations) cycle += model.demand(r, n);
+    for (const std::size_t v : slots) cycle += demand[v];
     if (!(cycle > 0.0)) {
       throw qn::ModelError("solve_approx_mva: chain '" +
                            model.source().chain(r).name +
                            "' has zero uncongested cycle time");
     }
     if (warm_start != nullptr) {
-      for (int n : stations) {
-        const std::size_t idx = static_cast<std::size_t>(n) * num_chains + r;
-        number[idx] = std::max(0.0, warm_start->number[idx]);
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        const std::size_t idx =
+            static_cast<std::size_t>(stations[i]) * num_chains + r;
+        number[slots[i]] = std::max(0.0, warm_start->number[idx]);
       }
       lambda[static_cast<std::size_t>(r)] =
           std::max(0.0, warm_start->lambda[static_cast<std::size_t>(r)]);
@@ -143,15 +154,13 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
     if (options.init == mva::InitPolicy::kBalanced) {
       const double share =
           static_cast<double>(pop) / static_cast<double>(stations.size());
-      for (int n : stations) {
-        number[static_cast<std::size_t>(n) * num_chains + r] = share;
-      }
+      for (const std::size_t v : slots) number[v] = share;
     } else {
-      int bottleneck = stations.front();
-      for (int n : stations) {
-        if (model.demand(r, n) > model.demand(r, bottleneck)) bottleneck = n;
+      std::size_t bottleneck = slots.front();
+      for (const std::size_t v : slots) {
+        if (demand[v] > demand[bottleneck]) bottleneck = v;
       }
-      number[static_cast<std::size_t>(bottleneck) * num_chains + r] = pop;
+      number[bottleneck] = pop;
     }
     lambda[static_cast<std::size_t>(r)] = pop / cycle;
   }
@@ -162,8 +171,15 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
 
   const bool lazy_sigma = warm_start != nullptr && !warm_start->sigma.empty();
   if (lazy_sigma) {
-    for (std::size_t i = 0; i < cells; ++i) {
-      sigma[i] = std::clamp(warm_start->sigma[i], 0.0, 1.0);
+    for (int n = 0; n < num_stations; ++n) {
+      const std::span<const int> chains = model.chains_visiting(n);
+      const std::size_t first = model.visit_offset(n);
+      const std::size_t row = static_cast<std::size_t>(n) * num_chains;
+      for (std::size_t k = 0; k < chains.size(); ++k) {
+        sigma[first + k] = std::clamp(
+            warm_start->sigma[row + static_cast<std::size_t>(chains[k])],
+            0.0, 1.0);
+      }
     }
     std::copy(lambda.begin(), lambda.end(), lambda_sigma.begin());
   }
@@ -180,8 +196,9 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
 
   // The thesis-heuristic sigma update of one chain (STEP 2 body), using
   // the scratch stripe starting at `base`.  Reads lambda/busy (stable
-  // during a sweep), writes only sigma column r and its own stripe —
-  // the independence that makes chain-block dispatch deterministic.
+  // during a sweep), writes only chain r's sigma slots and its own
+  // stripe — the independence that makes chain-block dispatch
+  // deterministic.
   const auto chan_sigma_chain = [&](int r, std::size_t base) {
     const int pop = population[static_cast<std::size_t>(r)];
     if (pop == 0) return;
@@ -189,10 +206,12 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
     // other chains' utilization (APL LP22-LP33).  rho_other comes from
     // the hoisted busy[] by subtracting the chain's own term; a
     // single-chain model keeps the legacy empty-sum zero verbatim.
-    const std::span<const double> drow = model.demands_of(r);
+    const std::span<const int> stations = model.stations_of(r);
+    const std::span<const std::size_t> slots = model.visit_slots_of(r);
     std::size_t sub_size = 0;
-    for (const int n : model.stations_of(r)) {
-      const double d = drow[static_cast<std::size_t>(n)];
+    for (std::size_t i = 0; i < stations.size(); ++i) {
+      const int n = stations[i];
+      const double d = demand[slots[i]];
       if (d <= 0.0) continue;
       double rho_other = 0.0;
       if (num_chains > 1) {
@@ -203,7 +222,7 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
       const bool delay = model.is_delay(n);
       sub_demand[base + sub_size] = delay ? d : d / (1.0 - rho_other);
       sub_delay[base + sub_size] = delay ? 1 : 0;
-      sub_station[base + sub_size] = n;
+      sub_visit[base + sub_size] = static_cast<int>(i);
       ++sub_size;
     }
     // Single-chain MVA recursion (thesis eq. 4.1-4.4) in rolling
@@ -235,7 +254,7 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
     }
     for (std::size_t i = 0; i < sub_size; ++i) {
       const double increment = sc_number_cur[base + i] - sc_number_prev[base + i];
-      sigma[static_cast<std::size_t>(sub_station[base + i]) * num_chains + r] =
+      sigma[slots[static_cast<std::size_t>(sub_visit[base + i])]] =
           std::clamp(increment, 0.0, 1.0);
     }
   };
@@ -270,12 +289,13 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
     // STEP 2: estimate sigma_ir(r-).
     if (refresh_sigma) {
       if (options.sigma == mva::SigmaPolicy::kSchweitzerBard) {
-        for (int r = 0; r < num_chains; ++r) {
-          const int pop = population[static_cast<std::size_t>(r)];
-          if (pop == 0) continue;
-          for (int n = 0; n < num_stations; ++n) {
-            sigma[static_cast<std::size_t>(n) * num_chains + r] =
-                number[static_cast<std::size_t>(n) * num_chains + r] / pop;
+        for (int n = 0; n < num_stations; ++n) {
+          const std::span<const int> chains = model.chains_visiting(n);
+          const std::size_t first = model.visit_offset(n);
+          for (std::size_t k = 0; k < chains.size(); ++k) {
+            const int pop = population[static_cast<std::size_t>(chains[k])];
+            if (pop == 0) continue;
+            sigma[first + k] = number[first + k] / pop;
           }
         }
       } else {
@@ -283,11 +303,12 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
           // Hoisted per-station busy time, chain-ascending like the
           // legacy per-(r,n) accumulation.
           for (int n = 0; n < num_stations; ++n) {
-            const std::size_t row =
-                static_cast<std::size_t>(n) * num_chains;
+            const std::span<const int> chains = model.chains_visiting(n);
+            const std::size_t first = model.visit_offset(n);
             double b = 0.0;
-            for (int j = 0; j < num_chains; ++j) {
-              b += lambda[static_cast<std::size_t>(j)] * dsm[row + j];
+            for (std::size_t k = 0; k < chains.size(); ++k) {
+              b += lambda[static_cast<std::size_t>(chains[k])] *
+                   demand[first + k];
             }
             busy[static_cast<std::size_t>(n)] = b;
           }
@@ -319,45 +340,50 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
       std::copy(lambda.begin(), lambda.end(), lambda_sigma.begin());
     }
 
-    // STEP 3: mean queueing times (thesis eq. 4.13), station-major over
-    // the SoA demand slab with the hoisted per-station totals (the
-    // legacy "others" sum never depended on the observing chain).
+    // STEP 3: mean queueing times (thesis eq. 4.13), slot by slot with
+    // the hoisted per-station totals (the legacy "others" sum never
+    // depended on the observing chain).
     for (int n = 0; n < num_stations; ++n) {
-      const std::size_t row = static_cast<std::size_t>(n) * num_chains;
+      const std::size_t last = model.visit_offset(n + 1);
       double t = 0.0;
-      for (int j = 0; j < num_chains; ++j) t += number[row + j];
+      for (std::size_t v = model.visit_offset(n); v < last; ++v) {
+        t += number[v];
+      }
       total[static_cast<std::size_t>(n)] = t;
     }
     for (int n = 0; n < num_stations; ++n) {
-      const std::size_t row = static_cast<std::size_t>(n) * num_chains;
+      const std::span<const int> chains = model.chains_visiting(n);
+      const std::size_t first = model.visit_offset(n);
       const bool delay = model.is_delay(n);
-      for (int r = 0; r < num_chains; ++r) {
-        if (population[static_cast<std::size_t>(r)] == 0) continue;
-        const double d = dsm[row + r];
+      for (std::size_t k = 0; k < chains.size(); ++k) {
+        if (population[static_cast<std::size_t>(chains[k])] == 0) continue;
+        const std::size_t v = first + k;
+        const double d = demand[v];
         if (d <= 0.0) {
-          time[row + r] = 0.0;
+          time[v] = 0.0;
           continue;
         }
         if (delay) {
-          time[row + r] = d;
+          time[v] = d;
           continue;
         }
-        const double seen = std::max(
-            0.0, total[static_cast<std::size_t>(n)] - sigma[row + r]);
-        time[row + r] = d * (1.0 + seen);
+        const double seen =
+            std::max(0.0, total[static_cast<std::size_t>(n)] - sigma[v]);
+        time[v] = d * (1.0 + seen);
       }
     }
 
     // STEP 4: chain throughputs (Little for chains, thesis eq. 4.14).
-    // Station-major accumulation; per chain the additions run in the
+    // The station-by-station slot walk adds each chain's times in the
     // same ascending-station order as the legacy strided sum.
     for (int r = 0; r < num_chains; ++r) {
       cycle_acc[static_cast<std::size_t>(r)] = 0.0;
     }
     for (int n = 0; n < num_stations; ++n) {
-      const std::size_t row = static_cast<std::size_t>(n) * num_chains;
-      for (int r = 0; r < num_chains; ++r) {
-        cycle_acc[static_cast<std::size_t>(r)] += time[row + r];
+      const std::span<const int> chains = model.chains_visiting(n);
+      const std::size_t first = model.visit_offset(n);
+      for (std::size_t k = 0; k < chains.size(); ++k) {
+        cycle_acc[static_cast<std::size_t>(chains[k])] += time[first + k];
       }
     }
     for (int r = 0; r < num_chains; ++r) {
@@ -367,15 +393,16 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
     }
 
     // STEP 5: mean queue lengths (Little for stations, thesis eq. 4.15),
-    // with optional under-relaxation; unit-stride across chains.
+    // with optional under-relaxation.
     for (int n = 0; n < num_stations; ++n) {
-      const std::size_t row = static_cast<std::size_t>(n) * num_chains;
-      for (int r = 0; r < num_chains; ++r) {
+      const std::span<const int> chains = model.chains_visiting(n);
+      const std::size_t first = model.visit_offset(n);
+      for (std::size_t k = 0; k < chains.size(); ++k) {
+        const std::size_t v = first + k;
         const double updated =
-            lambda[static_cast<std::size_t>(r)] * time[row + r];
-        number[row + r] =
-            options.damping * updated +
-            (1.0 - options.damping) * number[row + r];
+            lambda[static_cast<std::size_t>(chains[k])] * time[v];
+        number[v] = options.damping * updated +
+                    (1.0 - options.damping) * number[v];
       }
     }
 
@@ -411,10 +438,26 @@ Solution HeuristicMvaSolver::solve(const qn::CompiledModel& model,
     recorder->end_solve(sol.iterations, sol.converged);
   }
 
+  // Scatter the visited cells into the dense [n * R + r] Solution
+  // spans; unvisited cells stay at the 0 the legacy sweep leaves there.
+  std::span<double> dense_number = ws.zeroed_doubles(cells);
+  std::span<double> dense_time = ws.zeroed_doubles(cells);
+  std::span<double> dense_sigma = ws.zeroed_doubles(cells);
+  for (int n = 0; n < num_stations; ++n) {
+    const std::span<const int> chains = model.chains_visiting(n);
+    const std::size_t first = model.visit_offset(n);
+    const std::size_t row = static_cast<std::size_t>(n) * num_chains;
+    for (std::size_t k = 0; k < chains.size(); ++k) {
+      const std::size_t idx = row + static_cast<std::size_t>(chains[k]);
+      dense_number[idx] = number[first + k];
+      dense_time[idx] = time[first + k];
+      dense_sigma[idx] = sigma[first + k];
+    }
+  }
   sol.chain_throughput = lambda;
-  sol.mean_queue = number;
-  sol.mean_time = time;
-  sol.sigma = sigma;
+  sol.mean_queue = dense_number;
+  sol.mean_time = dense_time;
+  sol.sigma = dense_sigma;
   return sol;
 }
 

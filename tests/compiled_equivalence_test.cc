@@ -236,11 +236,42 @@ TEST(CompiledEquivalence, CommittedCorpusInstancesMatchLegacySolvers) {
   }
 }
 
+/// Bit-for-bit, not near: operation order is part of the kernel's
+/// contract with the legacy sweep, and so is every output the engine
+/// reads back (the sigma estimates seed the next warm start).
+void expect_bit_identical(std::span<const double> got,
+                          const std::vector<double>& want, const char* name,
+                          const char* what, const std::string& id) {
+  ASSERT_EQ(got.size(), want.size()) << name << " " << what << " on " << id;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i], want[i]) << name << " " << what << "[" << i << "] on "
+                               << id;
+  }
+}
+
+void expect_bit_identical(const solver::Solution& s, const mva::MvaSolution& r,
+                          const char* name, const std::string& id) {
+  EXPECT_TRUE(s.converged) << name << " on " << id;
+  EXPECT_EQ(s.iterations, r.iterations) << name << " on " << id;
+  EXPECT_EQ(s.sigma_refreshes, r.sigma_refreshes) << name << " on " << id;
+  EXPECT_EQ(s.converged, r.converged) << name << " on " << id;
+  expect_bit_identical(s.chain_throughput, r.chain_throughput, name,
+                       "throughput", id);
+  expect_bit_identical(s.mean_queue, r.mean_queue, name, "queue", id);
+  expect_bit_identical(s.mean_time, r.mean_time, name, "time", id);
+  expect_bit_identical(s.sigma, r.sigma, name, "sigma", id);
+}
+
+const char* sweep_solver_name(mva::SigmaPolicy policy) {
+  return policy == mva::SigmaPolicy::kChanSingleChain ? "heuristic-mva"
+                                                      : "schweitzer-mva";
+}
+
 /// Continental-scale fixtures: only the MVA sweep solvers run (the
 /// exact lattice solvers are hopeless at 1k+ chains), compared
-/// bit-for-bit against the legacy scalar sweep — the guarantee that the
-/// SoA/hoisted kernel restructuring changed the memory layout and the
-/// asymptotics, not one bit of the arithmetic.
+/// bit-for-bit against the legacy dense sweep — the guarantee that the
+/// packed visit-slot kernel changed the memory layout and the work per
+/// sweep, not one bit of the arithmetic.
 void check_large_cyclic(int chains, std::uint64_t seed) {
   verify::GenOptions opt;
   opt.large_chains = chains;
@@ -256,9 +287,7 @@ void check_large_cyclic(int chains, std::uint64_t seed) {
   for (const mva::SigmaPolicy policy :
        {mva::SigmaPolicy::kChanSingleChain,
         mva::SigmaPolicy::kSchweitzerBard}) {
-    const char* name = policy == mva::SigmaPolicy::kChanSingleChain
-                           ? "heuristic-mva"
-                           : "schweitzer-mva";
+    const char* name = sweep_solver_name(policy);
     compare(
         name, compiled, population, ws, id,
         [&] {
@@ -267,21 +296,7 @@ void check_large_cyclic(int chains, std::uint64_t seed) {
           return mva::solve_approx_mva(m, options);
         },
         [&](const solver::Solution& s, const mva::MvaSolution& r) {
-          EXPECT_TRUE(s.converged) << name << " on " << id;
-          EXPECT_EQ(s.iterations, r.iterations) << name << " on " << id;
-          EXPECT_EQ(s.converged, r.converged) << name << " on " << id;
-          // Bit-for-bit, not near: operation order is part of the
-          // kernel's contract with the legacy sweep.
-          ASSERT_EQ(s.chain_throughput.size(), r.chain_throughput.size());
-          for (std::size_t i = 0; i < r.chain_throughput.size(); ++i) {
-            ASSERT_EQ(s.chain_throughput[i], r.chain_throughput[i])
-                << name << " throughput[" << i << "] on " << id;
-          }
-          ASSERT_EQ(s.mean_queue.size(), r.mean_queue.size());
-          for (std::size_t i = 0; i < r.mean_queue.size(); ++i) {
-            ASSERT_EQ(s.mean_queue[i], r.mean_queue[i])
-                << name << " queue[" << i << "] on " << id;
-          }
+          expect_bit_identical(s, r, name, id);
         });
   }
 }
@@ -292,6 +307,52 @@ TEST(CompiledEquivalence, LargeCyclic1kMatchesLegacySweepBitForBit) {
 
 TEST(CompiledEquivalence, LargeCyclic10kMatchesLegacySweepBitForBit) {
   check_large_cyclic(10000, 1);
+}
+
+TEST(CompiledEquivalence, LargeCyclicWarmStartWithIdleChainMatchesLegacy) {
+  // The lazy-sigma path: seed both sweeps from a converged solution at
+  // the base windows, then solve a neighbouring window vector in which
+  // chain 0 is idle (population 0) and chain 1 carries one more
+  // message.  The idle chain keeps its seeded sigma on its visited
+  // cells and zero everywhere else, the gather/scatter edge of the
+  // packed layout.
+  verify::GenOptions opt;
+  opt.large_chains = 1000;
+  const verify::Instance inst =
+      verify::generate(verify::Family::kLargeCyclic, 1, opt);
+  const std::string id = inst.name + "-1000-warm";
+  const qn::CompiledModel compiled = qn::CompiledModel::compile(inst.model);
+  std::vector<int> population(compiled.base_populations().begin(),
+                              compiled.base_populations().end());
+  population[0] = 0;
+  population[1] += 1;
+  qn::NetworkModel neighbour = inst.model;
+  neighbour.set_population(0, population[0]);
+  neighbour.set_population(1, population[1]);
+
+  solver::Workspace ws;
+  for (const mva::SigmaPolicy policy :
+       {mva::SigmaPolicy::kChanSingleChain,
+        mva::SigmaPolicy::kSchweitzerBard}) {
+    const char* name = sweep_solver_name(policy);
+    mva::ApproxMvaOptions options;
+    options.sigma = policy;
+    mva::MvaSolution seed = mva::solve_approx_mva(inst.model, options);
+    ASSERT_TRUE(seed.converged) << name << " seed on " << id;
+    const mva::MvaWarmStart warm{std::move(seed.chain_throughput),
+                                 std::move(seed.mean_queue),
+                                 std::move(seed.sigma)};
+    ws.hints.warm_start = &warm;
+    compare(
+        name, compiled, population, ws, id,
+        [&] { return mva::solve_approx_mva(neighbour, options, &warm); },
+        [&](const solver::Solution& s, const mva::MvaSolution& r) {
+          EXPECT_LT(s.sigma_refreshes, s.iterations)
+              << name << " never took a lazy sweep on " << id;
+          expect_bit_identical(s, r, name, id);
+        });
+    ws.hints.warm_start = nullptr;
+  }
 }
 
 TEST(CompiledEquivalence, ChainBlockPoolSweepIsBitIdenticalToSerial) {

@@ -17,6 +17,7 @@
 #include "solver/registry.h"
 #include "solver/solver.h"
 #include "solver/workspace.h"
+#include "verify/gen.h"
 
 namespace windim {
 namespace {
@@ -185,6 +186,29 @@ TEST(SolverRegistry, WarmSolvesPerformZeroArenaAllocations) {
     EXPECT_EQ(ws.heap_allocations(), warm)
         << name << " allocated on the warm path";
   }
+}
+
+TEST(SolverRegistry, WarmLargeCyclicHeuristicSolveIsAllocationFree) {
+  // The packed visit-slot arrays and the dense Solution spans all come
+  // from the arena: once a solve of the 1k-chain fixture has sized it,
+  // a second solve on the same workspace must not touch the heap.
+  verify::GenOptions opt;
+  opt.large_chains = 1000;
+  const verify::Instance inst =
+      verify::generate(verify::Family::kLargeCyclic, 1, opt);
+  const qn::CompiledModel compiled = qn::CompiledModel::compile(inst.model);
+  const solver::PopulationVector population(
+      compiled.base_populations().begin(), compiled.base_populations().end());
+  const solver::Solver& s =
+      solver::SolverRegistry::instance().require("heuristic-mva");
+  solver::Workspace ws;
+  (void)s.solve(compiled, population, ws);  // warm-up: arena grows
+  const std::size_t warm = ws.heap_allocations();
+  EXPECT_GT(warm, 0u);
+  const solver::Solution sol = s.solve(compiled, population, ws);
+  EXPECT_TRUE(sol.converged);
+  EXPECT_EQ(ws.heap_allocations(), warm)
+      << "heuristic-mva allocated on the warm large-cyclic path";
 }
 
 TEST(SolverRegistry, OversizedScratchRequestsThrowTypedOverflowError) {
